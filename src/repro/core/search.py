@@ -264,10 +264,10 @@ class NearestNeighborSearcher(abc.ABC):
         """The ``k`` nearest stored entries for every row of ``queries``.
 
         The whole query matrix is evaluated in one vectorized pass over the
-        programmed array state.  For the CAM engines the results are bitwise
-        identical to a loop of :meth:`kneighbors` calls; for the software
-        metrics the neighbor ranking matches while scores may differ from
-        the loop by float rounding (BLAS matrix-matrix vs. matrix-vector).
+        programmed array state.  The results are bitwise identical to a loop
+        of :meth:`kneighbors` calls, except for the cosine metric, whose
+        ranking matches while scores may differ from the loop by float
+        rounding (BLAS matrix-matrix vs. matrix-vector).
         An empty batch (``(0, num_features)``) yields an empty result.
         """
         self._require_fitted()
@@ -355,11 +355,8 @@ class NearestNeighborSearcher(abc.ABC):
         self._require_fitted()
         if self._labels is None:
             raise SearchError("cannot predict labels: the searcher was fitted without labels")
-        queries = self._check_query_batch(queries)
-        if queries.shape[0] == 0:
-            return self._labels[:0].copy()
-        result = self.kneighbors_batch(queries, k=1, rng=rng)
-        predictions: np.ndarray = self._labels[result.indices[:, 0]]
+        indices, _ = self.kneighbors_arrays(queries, k=1, rng=rng)
+        predictions: np.ndarray = self._labels[indices[:, 0]]
         return predictions
 
     def _require_fitted(self) -> None:
@@ -425,7 +422,9 @@ class SoftwareSearcher(NearestNeighborSearcher):
         self._features: Optional[np.ndarray] = None
 
     def _fit(self, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
-        self._features = features.astype(np.float32)  # FP32, as in the paper
+        # FP32 values, as in the paper, held as float64 so the metrics use
+        # them without a per-call conversion (float32 -> float64 is exact).
+        self._features = features.astype(np.float32).astype(np.float64)
 
     def _require_features(self) -> np.ndarray:
         if self._features is None:

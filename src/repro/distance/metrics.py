@@ -15,6 +15,7 @@ the cosine *distance* ``1 - cos(a, b)``.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict
 
 import numpy as np
@@ -170,54 +171,76 @@ def _check_rows_queries(rows, queries):
     return rows, queries
 
 
-#: Cap on the ``chunk * num_rows * num_features`` broadcast temporary used by
-#: the elementwise distance matrices; larger batches run in query chunks.
-_BROADCAST_CHUNK_ELEMENTS = 1 << 24
+#: Elements in the scratch buffer of one block (256 KB of float64, sized to
+#: stay in a typical L2 cache).  A batch runs in blocks of whole queries, or
+#: of rows of one query when a query's rows alone exceed it, and every block
+#: reuses the buffer.
+_L2_CHUNK_ELEMENTS = 1 << 15
 
 
-def _chunked_broadcast_matrix(rows, queries, reduce_fn) -> np.ndarray:
-    """Apply an elementwise-difference reduction per query chunk.
+def _chunked_matrix(
+    rows, queries, fill, reduce, out_dtype=np.float64, scratch_dtype=np.float64
+) -> np.ndarray:
+    """Reduce an elementwise query-vs-row tensor one cache-sized block at a time.
 
-    ``reduce_fn(diff)`` reduces a ``(chunk, num_rows, num_features)``
-    difference tensor over its last axis.  Chunking the query axis bounds the
-    temporary at ``_BROADCAST_CHUNK_ELEMENTS`` doubles without changing any
-    per-query result.
+    ``fill(query_block, row_block, block)`` writes the ``(queries, rows,
+    num_features)`` elementwise tensor of a block into ``block`` in place,
+    and ``reduce(block, axis=2, out=...)`` reduces its last, contiguous axis
+    straight into the output.  These are exactly the ops and the reduction
+    order of the one-query functions, so every row of the matrix is bitwise
+    identical to the matching one-query call.
     """
     num_queries = queries.shape[0]
-    out = np.empty((num_queries, rows.shape[0]))
-    if num_queries == 0:
+    num_rows, num_features = rows.shape
+    out = np.empty((num_queries, num_rows), dtype=out_dtype)
+    if num_queries == 0 or num_rows == 0:
         return out
-    per_query = max(1, rows.shape[0] * rows.shape[1])
-    chunk = max(1, _BROADCAST_CHUNK_ELEMENTS // per_query)
-    for start in range(0, num_queries, chunk):
-        stop = min(start + chunk, num_queries)
-        diff = queries[start:stop, np.newaxis, :] - rows[np.newaxis, :, :]
-        out[start:stop] = reduce_fn(diff)
+    row_chunk = min(num_rows, max(1, _L2_CHUNK_ELEMENTS // max(1, num_features)))
+    query_chunk = min(num_queries, max(1, _L2_CHUNK_ELEMENTS // max(1, row_chunk * num_features)))
+    scratch = np.empty(query_chunk * row_chunk * num_features, dtype=scratch_dtype)
+    for q_start in range(0, num_queries, query_chunk):
+        q_stop = min(q_start + query_chunk, num_queries)
+        query_block = queries[q_start:q_stop, np.newaxis, :]
+        for r_start in range(0, num_rows, row_chunk):
+            r_stop = min(r_start + row_chunk, num_rows)
+            shape = (q_stop - q_start, r_stop - r_start, num_features)
+            block = scratch[: shape[0] * shape[1] * num_features].reshape(shape)
+            fill(query_block, rows[r_start:r_stop], block)
+            reduce(block, axis=2, out=out[q_start:q_stop, r_start:r_stop])
     return out
+
+
+def _squared_difference(query_block, row_block, block) -> None:
+    np.subtract(query_block, row_block, out=block)
+    np.multiply(block, block, out=block)
+
+
+def _absolute_difference(query_block, row_block, block) -> None:
+    np.subtract(query_block, row_block, out=block)
+    np.abs(block, out=block)
+
+
+def _mismatch(query_block, row_block, block) -> None:
+    np.not_equal(query_block, row_block, out=block)
 
 
 def euclidean_distance_matrix(rows, queries) -> np.ndarray:
     """L2 distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.linalg.norm(diff, axis=2)
-    )
+    out = _chunked_matrix(rows, queries, _squared_difference, np.add.reduce)
+    return np.sqrt(out, out=out)
 
 
 def manhattan_distance_matrix(rows, queries) -> np.ndarray:
     """L1 distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.sum(np.abs(diff), axis=2)
-    )
+    return _chunked_matrix(rows, queries, _absolute_difference, np.add.reduce)
 
 
 def linf_distance_matrix(rows, queries) -> np.ndarray:
     """L-infinity distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.max(np.abs(diff), axis=2)
-    )
+    return _chunked_matrix(rows, queries, _absolute_difference, np.maximum.reduce)
 
 
 def cosine_distance_matrix(rows, queries) -> np.ndarray:
@@ -253,17 +276,14 @@ def hamming_distance_matrix(rows, queries) -> np.ndarray:
         raise ConfigurationError(
             f"rows must be (n, d) and queries (m, d), got {rows.shape} and {queries.shape}"
         )
-    num_queries = queries.shape[0]
-    out = np.empty((num_queries, rows.shape[0]), dtype=np.int64)
-    if num_queries == 0:
-        return out
-    chunk = max(1, _BROADCAST_CHUNK_ELEMENTS // max(1, rows.shape[0] * rows.shape[1]))
-    for start in range(0, num_queries, chunk):
-        stop = min(start + chunk, num_queries)
-        out[start:stop] = np.count_nonzero(
-            rows[np.newaxis, :, :] != queries[start:stop, np.newaxis, :], axis=2
-        )
-    return out
+    return _chunked_matrix(
+        rows,
+        queries,
+        _mismatch,
+        functools.partial(np.add.reduce, dtype=np.int64),
+        out_dtype=np.int64,
+        scratch_dtype=bool,
+    )
 
 
 #: Registry of batched metrics by name; used by the software search engine.

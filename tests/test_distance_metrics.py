@@ -1,24 +1,32 @@
 """Tests for the software distance metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.distance import (
     BATCH_METRICS,
     cosine_distance,
+    cosine_distance_matrix,
     cosine_distances,
     euclidean_distance,
+    euclidean_distance_matrix,
     euclidean_distances,
     get_batch_metric,
     hamming_distance,
+    hamming_distance_matrix,
     hamming_distances,
     linf_distance,
+    linf_distance_matrix,
     linf_distances,
     manhattan_distance,
+    manhattan_distance_matrix,
     manhattan_distances,
     minkowski_distance,
     squared_euclidean_distance,
 )
+from repro.distance.metrics import _L2_CHUNK_ELEMENTS
 from repro.exceptions import ConfigurationError
 
 
@@ -124,3 +132,94 @@ class TestBatchMetrics:
     def test_registry_unknown(self):
         with pytest.raises(ConfigurationError):
             get_batch_metric("dtw")
+
+
+#: (matrix, per-query) pairs whose matrix rows are bitwise the per-query calls.
+ELEMENTWISE_MATRICES = [
+    (euclidean_distance_matrix, euclidean_distances),
+    (manhattan_distance_matrix, manhattan_distances),
+    (linf_distance_matrix, linf_distances),
+]
+
+PARITY_FEATURES = 16
+
+#: (num_rows, num_queries) straddling the scratch budget of one block.
+CHUNK_SHAPES = [
+    # One query's rows exceed the budget: row blocks of one query, the last
+    # one a remainder.
+    (2 * _L2_CHUNK_ELEMENTS // PARITY_FEATURES + 5, 3),
+    # One query's rows fill the budget exactly: one query per block.
+    (_L2_CHUNK_ELEMENTS // PARITY_FEATURES, 2),
+    # Four queries per block, 11 queries: two full blocks and a remainder.
+    (_L2_CHUNK_ELEMENTS // (4 * PARITY_FEATURES), 11),
+    # Four queries per block, 8 queries: only full blocks.
+    (_L2_CHUNK_ELEMENTS // (4 * PARITY_FEATURES), 8),
+    # The whole batch fits in one block.
+    (20, 7),
+]
+
+
+def _stacked(per_query, rows, queries):
+    return np.stack([per_query(rows, query) for query in queries])
+
+
+class TestMatrixMetrics:
+    @pytest.mark.parametrize("matrix, per_query", ELEMENTWISE_MATRICES)
+    @pytest.mark.parametrize("num_rows, num_queries", CHUNK_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matrix_is_stacked_per_query_calls(
+        self, matrix, per_query, num_rows, num_queries, dtype
+    ):
+        rng = np.random.default_rng(num_rows + num_queries)
+        rows = rng.normal(size=(num_rows, PARITY_FEATURES)).astype(dtype)
+        queries = rng.normal(size=(num_queries, PARITY_FEATURES)).astype(dtype)
+        result = matrix(rows, queries)
+        assert result.dtype == np.float64
+        np.testing.assert_array_equal(result, _stacked(per_query, rows, queries))
+
+    @pytest.mark.parametrize("num_rows, num_queries", CHUNK_SHAPES)
+    def test_hamming_matrix_is_stacked_per_query_calls(self, num_rows, num_queries):
+        rng = np.random.default_rng(num_rows * num_queries)
+        rows = rng.integers(0, 3, size=(num_rows, PARITY_FEATURES))
+        queries = rng.integers(0, 3, size=(num_queries, PARITY_FEATURES))
+        result = hamming_distance_matrix(rows, queries)
+        assert result.dtype == np.int64
+        np.testing.assert_array_equal(result, _stacked(hamming_distances, rows, queries))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cosine_matrix_matches_per_query_calls(self, dtype):
+        # The matrix path is one BLAS matrix-matrix product, the per-query
+        # path a matrix-vector product: equal up to float rounding.
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(40, PARITY_FEATURES)).astype(dtype)
+        queries = rng.normal(size=(9, PARITY_FEATURES)).astype(dtype)
+        np.testing.assert_allclose(
+            cosine_distance_matrix(rows, queries),
+            _stacked(cosine_distances, rows, queries),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [m for m, _ in ELEMENTWISE_MATRICES] + [cosine_distance_matrix, hamming_distance_matrix],
+    )
+    def test_empty_query_batch(self, matrix):
+        rows = np.ones((5, PARITY_FEATURES))
+        result = matrix(rows, np.empty((0, PARITY_FEATURES)))
+        assert result.shape == (0, 5)
+
+    def test_euclidean_matrix_memory_is_bounded(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(4096, 64))
+        queries = rng.normal(size=(64, 64))
+        output_bytes = queries.shape[0] * rows.shape[0] * 8
+        tracemalloc.start()
+        try:
+            euclidean_distance_matrix(rows, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output plus one reused block of scratch, with headroom; a
+        # whole-batch broadcast temporary would be 128 MB here.
+        assert peak < output_bytes + 4 * _L2_CHUNK_ELEMENTS * 8

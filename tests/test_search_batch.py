@@ -53,16 +53,17 @@ class TestBatchMatchesLooped:
         for i, query in enumerate(queries):
             single = searcher.kneighbors(query, k=k)
             np.testing.assert_array_equal(batch.indices[i], single.indices)
-            if name.startswith(("mcam", "tcam")):
-                # CAM conductances/Hamming distances are bitwise identical.
-                np.testing.assert_array_equal(batch.scores[i], single.scores)
-            else:
-                # FP software metrics go through a BLAS matrix-matrix product
-                # in the batch path vs matrix-vector in the loop; scores may
-                # differ by 1 ulp while the ranking stays identical.
+            if name == "cosine":
+                # Cosine goes through a BLAS matrix-matrix product in the
+                # batch path vs matrix-vector in the loop; scores may differ
+                # by 1 ulp while the ranking stays identical.
                 np.testing.assert_allclose(
                     batch.scores[i], single.scores, rtol=1e-12, atol=1e-15
                 )
+            else:
+                # CAM conductances, Hamming distances and the elementwise
+                # software metrics are bitwise identical.
+                np.testing.assert_array_equal(batch.scores[i], single.scores)
             assert batch.labels[i] == single.labels
 
     @pytest.mark.parametrize("name", ENGINES)
@@ -102,7 +103,9 @@ class TestBatchEdgeCases:
         assert result.indices.shape == (0, 3)
         assert result.scores.shape == (0, 3)
         assert result.labels == ()
-        assert searcher.predict_batch(empty).shape == (0,)
+        predictions = searcher.predict_batch(empty)
+        assert predictions.shape == (0,)
+        assert predictions.dtype == data[1].dtype
 
     @pytest.mark.parametrize("name", ENGINES)
     def test_k_larger_than_stored_rejected(self, name, data):
@@ -134,11 +137,6 @@ class TestBatchEdgeCases:
         with pytest.raises(SearchError):
             searcher.kneighbors_batch(np.zeros((2, 4)))
 
-    def test_predict_batch_without_labels_rejected(self, data):
-        searcher = fitted("cosine", data, labels=False)
-        with pytest.raises(SearchError):
-            searcher.predict_batch(data[2])
-
     def test_single_vector_promoted_to_batch(self, data):
         searcher = fitted("euclidean", data)
         query = data[2][0]
@@ -146,6 +144,24 @@ class TestBatchEdgeCases:
         assert batch.indices.shape == (1, 2)
         single = searcher.kneighbors(query, k=2)
         np.testing.assert_array_equal(batch.indices[0], single.indices)
+
+
+class TestPredictBatchContract:
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_predict_batch_without_labels_rejected(self, name, data):
+        searcher = fitted(name, data, labels=False)
+        with pytest.raises(SearchError):
+            searcher.predict_batch(data[2])
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_sharded_predicts_like_unsharded(self, name, data):
+        features, labels, queries = data
+        sharded = make_searcher(name, num_features=NUM_FEATURES, seed=11, shards=2)
+        with sharded:
+            sharded.fit(features, labels)
+            np.testing.assert_array_equal(
+                sharded.predict_batch(queries), fitted(name, data).predict_batch(queries)
+            )
 
 
 class TestGenericRankBatchFallback:
